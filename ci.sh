@@ -116,5 +116,18 @@ done
 ./target/release/xplacer check lulesh --log-level quiet \
     > results/check_lulesh.txt
 grep -q "clean" results/check_lulesh.txt
+# Workload aliases resolve like canonical names.
+./target/release/xplacer check smith-waterman --log-level quiet \
+    > results/check_smith_waterman.txt
+grep -q "clean" results/check_smith_waterman.txt
+# A misspelled flag is a usage error (exit 2), never silently ignored.
+set +e
+./target/release/xplacer demo lulesh --plaform power9 > /dev/null 2>&1
+code=$?
+set -e
+if [ "$code" -ne 2 ]; then
+    echo "ci: xplacer demo accepted a misspelled flag (exit $code)" >&2
+    exit 1
+fi
 
 echo "ci: all checks passed"

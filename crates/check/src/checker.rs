@@ -380,10 +380,6 @@ impl MemHook for CheckHook {
         let _ = dev;
     }
 
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
-        self.on_memcpy_ctx(dst, src, bytes, kind, StreamId(0), true);
-    }
-
     fn on_memcpy_ctx(
         &mut self,
         dst: Addr,
@@ -457,10 +453,6 @@ impl MemHook for CheckHook {
         if let Some((serial, akind, off0, info)) = dst_rec {
             sweep(self, serial, akind, off0, &info, true);
         }
-    }
-
-    fn on_kernel_launch(&mut self, name: &str) {
-        self.on_kernel_launch_ctx(name, StreamId(0), 0);
     }
 
     fn on_kernel_launch_ctx(&mut self, name: &str, stream: StreamId, seq: u64) {

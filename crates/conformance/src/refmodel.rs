@@ -536,12 +536,6 @@ impl hetsim::MemHook for LockstepHook {
         }
     }
 
-    fn on_memcpy(&mut self, _dst: u64, _src: u64, _bytes: u64, _kind: hetsim::CopyKind) {
-        // cudaMemcpy bypasses UM paging entirely; nothing to model.
-    }
-
-    fn on_kernel_launch(&mut self, _name: &str) {}
-
     fn on_event(&mut self, ev: &TimedEvent) {
         match &ev.event {
             Event::PageFault { .. }

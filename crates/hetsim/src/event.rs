@@ -318,16 +318,10 @@ impl Default for EventLog {
 impl MemHook for EventLog {
     // The log listens only to the structured stream; the per-word
     // callbacks would flood the ring and are already covered by Stats.
-    fn on_alloc(&mut self, _base: Addr, _size: u64, _kind: AllocKind) {}
-    fn on_free(&mut self, _base: Addr) {}
-    fn on_read(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
-    fn on_write(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
     // Override the default per-element decomposition with a no-op: the
     // log ignores word traffic, so through a fanout it must not pay O(n)
     // empty calls per bulk range either.
     fn on_access_range(&mut self, _: Device, _: Addr, _: u32, _: u64, _: AccessKind) {}
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {}
-    fn on_kernel_launch(&mut self, _name: &str) {}
 
     fn on_event(&mut self, ev: &TimedEvent) {
         self.record(ev);

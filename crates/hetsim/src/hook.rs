@@ -18,16 +18,24 @@ use crate::types::{AccessKind, Addr, AllocKind, CopyKind, Device};
 /// Observer of simulated memory events.
 pub trait MemHook {
     /// A heap allocation of `size` bytes at `base` via `kind`.
-    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind);
+    fn on_alloc(&mut self, base: Addr, size: u64, kind: AllocKind) {
+        let _ = (base, size, kind);
+    }
 
     /// `free`/`cudaFree` of the allocation at `base`.
-    fn on_free(&mut self, base: Addr);
+    fn on_free(&mut self, base: Addr) {
+        let _ = base;
+    }
 
     /// A read of `size` bytes at `addr` by `dev` (maps to `traceR`).
-    fn on_read(&mut self, dev: Device, addr: Addr, size: u32);
+    fn on_read(&mut self, dev: Device, addr: Addr, size: u32) {
+        let _ = (dev, addr, size);
+    }
 
     /// A write of `size` bytes at `addr` by `dev` (maps to `traceW`).
-    fn on_write(&mut self, dev: Device, addr: Addr, size: u32);
+    fn on_write(&mut self, dev: Device, addr: Addr, size: u32) {
+        let _ = (dev, addr, size);
+    }
 
     /// A read-modify-write (maps to `traceRW`).
     fn on_read_write(&mut self, dev: Device, addr: Addr, size: u32) {
@@ -60,10 +68,14 @@ pub trait MemHook {
     }
 
     /// An explicit `cudaMemcpy`.
-    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind);
+    fn on_memcpy(&mut self, dst: Addr, src: Addr, bytes: u64, kind: CopyKind) {
+        let _ = (dst, src, bytes, kind);
+    }
 
     /// A kernel launch (maps to the `replace kernel-launch` wrapper).
-    fn on_kernel_launch(&mut self, name: &str);
+    fn on_kernel_launch(&mut self, name: &str) {
+        let _ = name;
+    }
 
     /// A kernel completed.
     fn on_kernel_end(&mut self, name: &str) {
@@ -552,8 +564,6 @@ mod tests {
             words: u64,
         }
         impl MemHook for RangeSpy {
-            fn on_alloc(&mut self, _: Addr, _: u64, _: AllocKind) {}
-            fn on_free(&mut self, _: Addr) {}
             fn on_read(&mut self, _: Device, _: Addr, _: u32) {
                 self.words += 1;
             }
@@ -563,8 +573,6 @@ mod tests {
             fn on_access_range(&mut self, dev: Device, addr: Addr, es: u32, n: u64, k: AccessKind) {
                 self.ranges.push((dev, addr, es, n, k));
             }
-            fn on_memcpy(&mut self, _: Addr, _: Addr, _: u64, _: CopyKind) {}
-            fn on_kernel_launch(&mut self, _: &str) {}
         }
         let spy = Rc::new(RefCell::new(RangeSpy::default()));
         let count = Rc::new(RefCell::new(CountingHook::default()));
@@ -603,16 +611,12 @@ mod tests {
         // A hook that doesn't override on_read_write sees a read + a write.
         struct RW(u64, u64);
         impl MemHook for RW {
-            fn on_alloc(&mut self, _: Addr, _: u64, _: AllocKind) {}
-            fn on_free(&mut self, _: Addr) {}
             fn on_read(&mut self, _: Device, _: Addr, _: u32) {
                 self.0 += 1;
             }
             fn on_write(&mut self, _: Device, _: Addr, _: u32) {
                 self.1 += 1;
             }
-            fn on_memcpy(&mut self, _: Addr, _: Addr, _: u64, _: CopyKind) {}
-            fn on_kernel_launch(&mut self, _: &str) {}
         }
         let mut h = RW(0, 0);
         h.on_read_write(Device::Cpu, 0x1000, 8);

@@ -1,6 +1,7 @@
-//! `xplacer check` through the real binary: exit-code contract
+//! The `xplacer` binary end to end: `check`'s exit-code contract
 //! (0 clean / 1 findings / 2 usage), stdout purity under
-//! `--log-level quiet`, and `--json` stream separation.
+//! `--log-level quiet`, `--json` stream separation, and the flag and
+//! target rules every verb shares.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -113,4 +114,137 @@ fn workload_target_resolves_by_name() {
     let out = run(&["check", "gaussian", "--log-level", "quiet"]);
     assert_eq!(out.status.code(), Some(0), "{}", stdout(&out));
     assert!(stdout(&out).contains("gaussian"));
+}
+
+/// Each verb with positionals that pass its argument count, and one of
+/// its value flags.
+const VERBS: [(&str, &[&str], &str); 12] = [
+    (
+        "instrument",
+        &["examples/mini/alternating.cu"],
+        "--log-level",
+    ),
+    ("run", &["examples/mini/alternating.cu"], "--trace-out"),
+    (
+        "analyze",
+        &["examples/mini/alternating.cu"],
+        "--metrics-out",
+    ),
+    ("advise", &["examples/mini/alternating.cu"], "--platform"),
+    ("demo", &["gaussian"], "--events-out"),
+    ("profile", &["gaussian"], "--top"),
+    ("top", &["gaussian"], "--frames"),
+    ("blame", &["gaussian"], "--folded-out"),
+    ("diff", &["a.json", "b.json"], "--threshold"),
+    ("check", &["gaussian"], "--max-errors"),
+    ("optimize", &["gaussian"], "--jobs"),
+    ("platforms", &[], "--log-level"),
+];
+
+/// `xplacer <verb> <positionals> <tail>`, run from the repository root.
+fn run_verb(verb: &str, pos: &[&str], tail: &[&str]) -> Output {
+    let mut args = vec![verb];
+    args.extend(pos);
+    args.extend(tail);
+    xplacer()
+        .args(&args)
+        .current_dir(repo_path(""))
+        .output()
+        .expect("xplacer binary runs")
+}
+
+fn assert_usage_error(out: &Output, what: &str, mentions: &[&str]) {
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{what}: {err}");
+    assert!(out.stdout.is_empty(), "{what}: stdout {}", stdout(out));
+    for m in mentions {
+        assert!(err.contains(m), "{what}: stderr lacks `{m}`: {err}");
+    }
+}
+
+#[test]
+fn every_verb_rejects_bad_flags_before_doing_any_work() {
+    for (verb, pos, value_flag) in VERBS {
+        let out = run_verb(verb, pos, &["--bogus"]);
+        assert_usage_error(&out, &format!("{verb} --bogus"), &["--bogus", verb]);
+        let out = run_verb(verb, pos, &[value_flag]);
+        assert_usage_error(&out, &format!("{verb} {value_flag}"), &[value_flag]);
+        // A flag in front of the positionals is judged the same way.
+        let out = run_verb(verb, &["--bogus"], pos);
+        assert_usage_error(&out, &format!("{verb} --bogus first"), &["--bogus"]);
+    }
+}
+
+#[test]
+fn repeated_value_flags_and_misspellings_exit_two() {
+    let out = run_verb("demo", &["lulesh"], &["--plaform", "power9"]);
+    assert_usage_error(&out, "demo --plaform", &["--plaform", "demo"]);
+    let out = run_verb("profile", &["gaussian"], &["--top", "3", "--top", "4"]);
+    assert_usage_error(&out, "profile --top twice", &["--top"]);
+    let out = run_verb(
+        "demo",
+        &["gaussian"],
+        &["--platform", "volta", "--platform", "power9"],
+    );
+    assert_usage_error(&out, "demo --platform twice", &["--platform"]);
+    let out = run_verb("demo", &["gaussian", "lud"], &[]);
+    assert_usage_error(&out, "demo with two workloads", &["demo"]);
+}
+
+#[test]
+fn every_verb_accepts_log_level() {
+    for (verb, pos) in [
+        ("instrument", &["examples/mini/alternating.cu"][..]),
+        ("advise", &["examples/mini/alternating.cu"]),
+        ("platforms", &[]),
+    ] {
+        let out = run_verb(verb, pos, &["--log-level", "quiet"]);
+        assert_eq!(out.status.code(), Some(0), "{verb}: {}", stdout(&out));
+        assert!(!out.stdout.is_empty(), "{verb} printed nothing");
+    }
+}
+
+#[test]
+fn platform_flag_may_come_before_or_after_the_target() {
+    for verb in ["demo", "profile", "blame", "check"] {
+        let quiet = ["--log-level", "quiet"];
+        let after = run_verb(verb, &["gaussian", "--platform", "power9"], &quiet);
+        let before = run_verb(verb, &["--platform", "power9", "gaussian"], &quiet);
+        assert_eq!(after.status.code(), Some(0), "{verb}: {}", stdout(&after));
+        assert_eq!(before.status.code(), Some(0), "{verb}: {}", stdout(&before));
+        assert_eq!(
+            after.stdout, before.stdout,
+            "{verb}: flag order changed stdout"
+        );
+        if verb == "demo" {
+            // The flag is honoured, not silently dropped.
+            assert!(stdout(&before).contains("IBM+Volta"), "{}", stdout(&before));
+            let pascal = run_verb(verb, &["gaussian"], &quiet);
+            assert_ne!(pascal.stdout, before.stdout);
+        }
+    }
+}
+
+#[test]
+fn smith_waterman_alias_resolves_for_every_target_verb() {
+    for (verb, extra) in [
+        ("demo", &[][..]),
+        ("profile", &[]),
+        ("blame", &[]),
+        ("top", &["--frames", "1", "--ascii"]),
+        ("check", &[]),
+    ] {
+        let out = run_verb(
+            verb,
+            &["smith-waterman"],
+            &[extra, &["--log-level", "quiet"]].concat(),
+        );
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(0), "{verb}: {text}");
+        // The user's spelling stays the display name.
+        assert!(text.contains("smith-waterman"), "{verb}: {text}");
+        if verb == "check" {
+            assert!(text.contains("clean"), "{text}");
+        }
+    }
 }

@@ -557,10 +557,6 @@ fn sweep_fast_path_actually_engages() {
         words: u64,
     }
     impl hetsim::MemHook for RangeSpy {
-        fn on_alloc(&mut self, _: u64, _: u64, _: hetsim::AllocKind) {}
-        fn on_free(&mut self, _: u64) {}
-        fn on_memcpy(&mut self, _: u64, _: u64, _: u64, _: hetsim::CopyKind) {}
-        fn on_kernel_launch(&mut self, _: &str) {}
         fn on_read(&mut self, _: hetsim::Device, _: u64, _: u32) {
             self.words += 1;
         }

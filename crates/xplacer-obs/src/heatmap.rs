@@ -12,7 +12,7 @@
 
 use std::fmt::Write as _;
 
-use hetsim::{Addr, AllocKind, CopyKind, Device, MemHook};
+use hetsim::{Addr, AllocKind, Device, MemHook};
 
 /// Brightness ramp, dark to bright.
 const RAMP: &[u8] = b" .:-=+*#%@";
@@ -239,8 +239,6 @@ impl MemHook for HeatmapRecorder {
     fn on_write(&mut self, _dev: Device, addr: Addr, size: u32) {
         self.touch(addr, size);
     }
-
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {}
 
     fn on_kernel_launch(&mut self, _name: &str) {
         self.mark_phase();

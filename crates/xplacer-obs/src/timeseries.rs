@@ -18,7 +18,7 @@
 
 use std::collections::BTreeMap;
 
-use hetsim::{AccessKind, Addr, AllocKind, CopyKind, Device, Event, MemHook, TimedEvent};
+use hetsim::{AccessKind, Addr, AllocKind, Device, Event, MemHook, TimedEvent};
 
 use crate::json::Json;
 use xplacer_core::Episode;
@@ -314,14 +314,9 @@ impl Telemetry {
 
 impl MemHook for Telemetry {
     // Telemetry listens only to the structured stream; word traffic is
-    // already aggregated by Stats and would dominate hook overhead.
-    fn on_alloc(&mut self, _base: Addr, _size: u64, _kind: AllocKind) {}
-    fn on_free(&mut self, _base: Addr) {}
-    fn on_read(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
-    fn on_write(&mut self, _dev: Device, _addr: Addr, _size: u32) {}
+    // already aggregated by Stats and would dominate hook overhead, so the
+    // range callback is a no-op rather than the per-element default.
     fn on_access_range(&mut self, _: Device, _: Addr, _: u32, _: u64, _: AccessKind) {}
-    fn on_memcpy(&mut self, _dst: Addr, _src: Addr, _bytes: u64, _kind: CopyKind) {}
-    fn on_kernel_launch(&mut self, _name: &str) {}
 
     fn on_event(&mut self, ev: &TimedEvent) {
         self.ingest(ev);

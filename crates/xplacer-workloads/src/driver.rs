@@ -26,6 +26,15 @@ pub const WORKLOAD_NAMES: [&str; 8] = [
     "cfd",
 ];
 
+/// Other spellings `run_workload` accepts, each with its canonical name.
+const ALIASES: [(&str, &str); 1] = [("smith-waterman", "sw")];
+
+/// The canonical name of the workload `name` spells, if any.
+pub fn canonical_name(name: &str) -> Option<&'static str> {
+    let alias = ALIASES.iter().find(|(a, _)| *a == name).map(|(_, w)| *w);
+    WORKLOAD_NAMES.into_iter().find(|w| *w == name).or(alias)
+}
+
 /// Run the named workload on `m`. `after_setup` fires once, after the
 /// workload has allocated and initialized its data but before any
 /// compute — the point where `cudaMemAdvise`/prefetch hints belong —
@@ -38,7 +47,7 @@ pub fn run_workload(
 ) -> Result<(f64, Vec<(Addr, String)>), String> {
     use crate as w;
     let names: Vec<(Addr, String)>;
-    let check = match which {
+    let check = match canonical_name(which).unwrap_or(which) {
         "lulesh" => {
             let cfg = w::lulesh::LuleshConfig::new(8, 3);
             let mut l = w::lulesh::Lulesh::setup(m, cfg, w::lulesh::LuleshVariant::Baseline);
@@ -47,7 +56,7 @@ pub fn run_workload(
             l.run(m, cfg.steps, |_, _| {});
             l.check(m)
         }
-        "sw" | "smith-waterman" => {
+        "sw" => {
             let cfg = w::smith_waterman::SwConfig::square(128);
             let mut s = w::smith_waterman::SmithWaterman::setup(
                 m,
@@ -136,6 +145,18 @@ mod tests {
             assert!(check.is_finite(), "{which} check value");
             assert!(!names.is_empty());
         }
+    }
+
+    #[test]
+    fn aliases_resolve_and_unknown_names_do_not() {
+        assert_eq!(canonical_name("smith-waterman"), Some("sw"));
+        assert_eq!(canonical_name("lud"), Some("lud"));
+        assert_eq!(canonical_name("nope"), None);
+        let run = |name| {
+            let mut m = Machine::new(platform::intel_pascal());
+            run_workload(&mut m, name, |_, _| {}).unwrap().0.to_bits()
+        };
+        assert_eq!(run("smith-waterman"), run("sw"));
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod result;
 pub mod rodinia;
 pub mod smith_waterman;
 
-pub use driver::{run_workload, WORKLOADS, WORKLOAD_NAMES};
+pub use driver::{canonical_name, run_workload, WORKLOADS, WORKLOAD_NAMES};
 pub use result::RunResult;
 
 use std::cell::RefCell;
