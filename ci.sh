@@ -51,6 +51,25 @@ echo "==> xplacer blame golden + xplacer diff gate"
 ./target/release/xplacer blame --replay results/top_events.json \
     --log-level quiet > results/blame_replay.txt
 cmp results/blame_replay.txt tests/golden/blame_replay_lulesh.golden
+# Hostile nesting is an input error (exit 2, empty stdout), not a native
+# stack overflow: 200k `[` for the JSON codec, 20k parentheses for the
+# MiniCU parser.
+deep_input_exits_two() {
+    set +e
+    ./target/release/xplacer "$@" --log-level quiet > results/deep_stdout.txt 2>/dev/null
+    code=$?
+    set -e
+    if [ "$code" -ne 2 ] || [ -s results/deep_stdout.txt ]; then
+        echo "ci: xplacer $* exited $code on a deep input (want 2, empty stdout)" >&2
+        exit 1
+    fi
+}
+repeat() { head -c "$2" /dev/zero | tr '\0' "$1"; }
+repeat '[' 200000 > results/deep_brackets.json
+deep_input_exits_two blame --replay results/deep_brackets.json
+{ printf 'int main() { int x = '; repeat '(' 20000; printf 1; repeat ')' 20000
+  printf '; return x; }\n'; } > results/deep_parens.cu
+deep_input_exits_two run results/deep_parens.cu
 # Self-diff must report zero deltas and exit 0.
 ./target/release/xplacer diff results/top_events.json results/top_events.json \
     --log-level quiet > results/diff_self.txt

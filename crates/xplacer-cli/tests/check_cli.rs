@@ -248,3 +248,46 @@ fn smith_waterman_alias_resolves_for_every_target_verb() {
         }
     }
 }
+
+/// Deeply nested replay documents and MiniCU programs are input errors
+/// (exit 2, nothing on stdout, the position on stderr), never a native
+/// stack overflow.
+#[test]
+fn deep_nesting_exits_two_with_a_position() {
+    let dir = std::env::temp_dir().join("xplacer_deep_nesting");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_string()
+    };
+    let brackets = file("brackets.json", "[".repeat(200_000));
+    let members = file("members.json", r#"{"a":"#.repeat(100_000));
+    let main = |body: String| format!("int main() {{\n  int x = {body};\n  return x;\n}}\n");
+    let parens = file(
+        "parens.cu",
+        main(format!("{}1{}", "(".repeat(20_000), ")".repeat(20_000))),
+    );
+    let sum = file("sum.cu", main(format!("1{}", " + 1".repeat(99_999))));
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &["blame", "--replay", &brackets],
+            "JSON parse error at byte 128",
+        ),
+        (
+            &["top", "--replay", &brackets],
+            "JSON parse error at byte 128",
+        ),
+        (
+            &["diff", &members, &members],
+            "JSON parse error at byte 640",
+        ),
+        (&["run", &parens], "parse error at line 2:"),
+        (&["check", &parens], "parse error at line 2:"),
+        (&["run", &sum], "parse error at line 2:"),
+    ];
+    for (args, position) in cases {
+        let out = run(args);
+        assert_usage_error(&out, &args.join(" "), &[position, "nesting deeper than"]);
+    }
+}

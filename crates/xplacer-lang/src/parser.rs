@@ -38,6 +38,19 @@ impl From<LexError> for ParseError {
 
 type PResult<T> = Result<T, ParseError>;
 
+/// The deepest AST nesting [`parse`] accepts. Depth counts statements
+/// inside statements, operands inside expressions (parentheses, unary
+/// operators, the right side of `=` and `?:`), one level per operator on
+/// a left-associative chain (`a + b + c`, `a[i][j]`, `p->f->g`) and one
+/// per `*` of a pointer type. The parser, sema, the interpreter, the
+/// instrument pass, unparse and `Drop` all recurse over the tree, so the
+/// bound keeps hostile input (20k nested parentheses, a 100k-term sum)
+/// from overflowing the stack. At 128, a program nested to the limit
+/// still runs on a 2 MiB thread in a debug build, where a parser or
+/// interpreter frame per level takes up to about 10 KiB; the shipped
+/// programs nest about 20 deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parse a complete MiniCU translation unit.
 pub fn parse(src: &str) -> PResult<Program> {
     let tokens = lex(src)?;
@@ -45,6 +58,7 @@ pub fn parse(src: &str) -> PResult<Program> {
         toks: tokens,
         pos: 0,
         structs: HashSet::new(),
+        depth: 0,
     };
     p.program()
 }
@@ -56,6 +70,7 @@ pub fn parse_expr(src: &str) -> PResult<Expr> {
         toks: tokens,
         pos: 0,
         structs: HashSet::new(),
+        depth: 0,
     };
     let e = p.expr()?;
     p.expect(Tok::Eof)?;
@@ -66,6 +81,8 @@ struct Parser {
     toks: Vec<Token>,
     pos: usize,
     structs: HashSet<String>,
+    /// Current AST nesting, bounded by [`MAX_DEPTH`].
+    depth: usize,
 }
 
 const TYPE_KEYWORDS: [&str; 6] = ["void", "int", "float", "double", "char", "size_t"];
@@ -122,6 +139,24 @@ impl Parser {
         ParseError { line, col, message }
     }
 
+    /// Go one level deeper, or fail at the cursor past [`MAX_DEPTH`].
+    /// Callers restore `depth` when the nested construct is done.
+    fn enter(&mut self) -> PResult<()> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Parse `inner` one level deeper.
+    fn nested<T>(&mut self, inner: fn(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.enter()?;
+        let t = inner(self);
+        self.depth -= 1;
+        t
+    }
+
     fn ident(&mut self) -> PResult<String> {
         let (line, col) = self.pos();
         match self.bump() {
@@ -164,9 +199,14 @@ impl Parser {
 
     fn ty(&mut self) -> PResult<Type> {
         let mut t = self.base_type()?;
-        while self.eat(Tok::Star) {
+        let depth = self.depth;
+        while *self.peek() == Tok::Star {
+            // `Type::Ptr` nests too: each `*` is one level.
+            self.enter()?;
+            self.bump();
             t = t.ptr();
         }
+        self.depth = depth;
         Ok(t)
     }
 
@@ -299,6 +339,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> PResult<Stmt> {
         if let Tok::PragmaLine(text) = self.peek().clone() {
             self.bump();
             return Ok(Stmt::Pragma(parse_pragma(&text)));
@@ -454,7 +498,7 @@ impl Parser {
     // ------------------------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
-        self.assignment()
+        self.nested(Self::assignment)
     }
 
     fn assignment(&mut self) -> PResult<Expr> {
@@ -468,7 +512,7 @@ impl Parser {
             _ => return Ok(lhs),
         };
         self.bump();
-        let rhs = self.assignment()?;
+        let rhs = self.nested(Self::assignment)?;
         Ok(Expr::Assign(op, Box::new(lhs), Box::new(rhs)))
     }
 
@@ -477,7 +521,7 @@ impl Parser {
         if self.eat(Tok::Question) {
             let t = self.expr()?;
             self.expect(Tok::Colon)?;
-            let e = self.conditional()?;
+            let e = self.nested(Self::conditional)?;
             Ok(Expr::Cond(Box::new(c), Box::new(t), Box::new(e)))
         } else {
             Ok(c)
@@ -510,18 +554,26 @@ impl Parser {
 
     fn binary(&mut self, min_prec: u8) -> PResult<Expr> {
         let mut lhs = self.unary()?;
+        let depth = self.depth;
         while let Some((op, prec)) = self.bin_op() {
             if prec < min_prec {
                 break;
             }
+            // Each operator adds a level to the left spine.
+            self.enter()?;
             self.bump();
             let rhs = self.binary(prec + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs));
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> PResult<Expr> {
+        self.nested(Self::unary_inner)
+    }
+
+    fn unary_inner(&mut self) -> PResult<Expr> {
         match self.peek().clone() {
             Tok::Minus => {
                 self.bump();
@@ -606,6 +658,7 @@ impl Parser {
 
     fn postfix(&mut self) -> PResult<Expr> {
         let mut e = self.primary()?;
+        let depth = self.depth;
         loop {
             match self.peek().clone() {
                 Tok::LBracket => {
@@ -634,7 +687,11 @@ impl Parser {
                 }
                 _ => break,
             }
+            // Like binary operators, each postfix operator deepens the
+            // left spine.
+            self.enter()?;
         }
+        self.depth = depth;
         Ok(e)
     }
 
@@ -953,6 +1010,31 @@ mod tests {
         // Lex errors keep their position through the From conversion.
         let err = parse("int main() {\n  int x = `;\n}").unwrap_err();
         assert_eq!((err.line, err.col), (2, 11));
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_a_spanned_error() {
+        let main = |body: String| format!("int main() {{\n{body}\nreturn 0; }}");
+        let bombs = [
+            main(format!(
+                "int x = {}1{};",
+                "(".repeat(20_000),
+                ")".repeat(20_000)
+            )),
+            main(format!("{}{}", "{".repeat(20_000), "}".repeat(20_000))),
+            main(format!("int x = {}1;", "-".repeat(50_000))),
+            main(format!("int x = 1{};", "+1".repeat(100_000))),
+            main(format!("int x = a{};", "[0]".repeat(100_000))),
+            main(format!("int{} p;", "*".repeat(100_000))),
+        ];
+        for src in bombs {
+            let err = parse(&src).unwrap_err();
+            assert_eq!(err.line, 2, "{err}");
+            assert!(
+                err.message == format!("nesting deeper than {MAX_DEPTH} levels"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -152,8 +152,10 @@ impl Json {
     /// output and validating exporter artifacts in tests).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -257,9 +259,20 @@ impl std::fmt::Display for ParseError {
     }
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts, as in
+/// serde_json. Parsing and dropping a [`Json`] tree both recurse once per
+/// level, so this bound is what keeps a hostile document (say 200k `[`)
+/// from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
+/// One linear pass over the input: every byte is looked at a bounded
+/// number of times, and string contents are copied run by run.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -300,8 +313,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -309,6 +322,21 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse a container one level deeper, failing at its opening
+    /// bracket once that would exceed [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, ParseError> {
@@ -366,50 +394,48 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
+            // Copy the run of plain bytes up to the next `"` or `\` at
+            // once. Both stop bytes are ASCII, so the run starts and ends
+            // on char boundaries of the `&str` input.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(s);
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => s.push('"'),
-                        Some(b'\\') => s.push('\\'),
-                        Some(b'/') => s.push('/'),
-                        Some(b'n') => s.push('\n'),
-                        Some(b'r') => s.push('\r'),
-                        Some(b't') => s.push('\t'),
-                        Some(b'b') => s.push('\u{8}'),
-                        Some(b'f') => s.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    s.push(c);
-                    self.pos += c.len_utf8();
-                }
+                _ => self.pos += 1, // the backslash
             }
+            match self.peek() {
+                Some(b'"') => s.push('"'),
+                Some(b'\\') => s.push('\\'),
+                Some(b'/') => s.push('/'),
+                Some(b'n') => s.push('\n'),
+                Some(b'r') => s.push('\r'),
+                Some(b't') => s.push('\t'),
+                Some(b'b') => s.push('\u{8}'),
+                Some(b'f') => s.push('\u{c}'),
+                Some(b'u') => {
+                    if self.pos + 4 >= self.bytes.len() {
+                        return Err(self.err("truncated \\u escape"));
+                    }
+                    let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
+                        .map_err(|_| self.err("bad \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
+                    // Surrogate pairs are not produced by our writer;
+                    // map lone surrogates to the replacement char.
+                    s.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                    self.pos += 4;
+                }
+                _ => return Err(self.err("bad escape")),
+            }
+            self.pos += 1;
         }
     }
 
@@ -505,6 +531,39 @@ mod tests {
         assert!(Json::parse("[1,2,]3").is_err());
         assert!(Json::parse("truefalse").is_err());
         assert!(Json::parse(r#""unterminated"#).is_err());
+        // Escapes next to multi-byte chars fail cleanly, never mid-char.
+        assert!(Json::parse(r#""\é""#).is_err());
+        assert!(Json::parse(r#""\u12é""#).is_err());
+        assert!(Json::parse(r#""é\"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_the_crossing_bracket() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let err = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        assert!(err.to_string().contains("nesting deeper than 128 levels"));
+        let err = Json::parse(&r#"{"a":"#.repeat(100_000)).unwrap_err();
+        assert_eq!(err.pos, 5 * MAX_DEPTH);
+    }
+
+    #[test]
+    fn long_strings_and_arrays_roundtrip() {
+        // One 256 KiB string (with escapes and multi-byte chars) and 50k
+        // short strings. Decoding is linear in string bytes, so this is
+        // fast even in a debug build.
+        let mut big = String::new();
+        while big.len() < 256 * 1024 {
+            big.push_str("plain text \"quoted\" back\\slash\n héllo → ");
+        }
+        let items = (0..50_000).map(|i| Json::Str(format!("s{i}"))).collect();
+        let mut doc = Json::obj();
+        doc.set("big", Json::Str(big))
+            .set("items", Json::Arr(items));
+        for text in [doc.to_string_compact(), doc.to_string_pretty()] {
+            assert_eq!(Json::parse(&text).unwrap(), doc);
+        }
     }
 
     #[test]

@@ -155,7 +155,7 @@ fn all_traces() -> Vec<EventTrace> {
 /// The exact pipeline ci.sh drives through the real binary: `xplacer demo
 /// lulesh --events-out` (default event ring, demo-sized config, final
 /// check read included) followed by `xplacer blame --replay`.
-fn demo_style_lulesh_trace() -> EventTrace {
+fn demo_style_lulesh_trace() -> (EventTrace, String) {
     use xplacer_workloads::lulesh::{Lulesh, LuleshConfig, LuleshVariant};
     record("lulesh", EventLog::DEFAULT_CAPACITY, |m, t| {
         let cfg = LuleshConfig::new(8, 3);
@@ -164,7 +164,6 @@ fn demo_style_lulesh_trace() -> EventTrace {
         l.run(m, cfg.steps, |_, _| {});
         let _ = l.check(m);
     })
-    .0
 }
 
 // ----------------------------------------------------------------------
@@ -343,7 +342,7 @@ fn golden_blame_lulesh() {
 fn golden_blame_replay_lulesh_matches_the_cli_pipeline() {
     // ci.sh byte-compares `xplacer blame --replay` on the demo-recorded
     // events file against this same snapshot.
-    let r = BlameReport::build(&demo_style_lulesh_trace());
+    let r = BlameReport::build(&demo_style_lulesh_trace().0);
     check_golden("blame_replay_lulesh.golden", &r.render(10));
 }
 
@@ -359,4 +358,51 @@ fn golden_diff_lulesh_read_mostly() {
     )
     .unwrap();
     check_golden("diff_lulesh_read_mostly.golden", &d.render(10));
+}
+
+// ----------------------------------------------------------------------
+// Hostile replay input
+// ----------------------------------------------------------------------
+
+/// Every decoder a replay consumer calls returns `Ok` or `Err` on `text`;
+/// none panics. `what` names the input in the failure message.
+fn decode_everything(text: &str, what: &str) {
+    let decoded = std::panic::catch_unwind(|| {
+        let _ = EventTrace::parse(text);
+        if let Ok(doc) = Json::parse(text) {
+            let _ = RunDigest::from_json(&doc, what);
+        }
+    });
+    assert!(decoded.is_ok(), "a decoder panicked on {what}");
+}
+
+/// Truncated and garbled copies of a committed JSON golden and of a
+/// freshly recorded `--events-out` trace go through `Json::parse`,
+/// `EventTrace::parse` and `RunDigest::from_json` without a panic.
+#[test]
+fn replay_decoders_never_panic_on_truncated_or_garbled_json() {
+    let golden = std::fs::read_to_string(golden_path("optimize_lulesh.json.golden")).unwrap();
+    let events = demo_style_lulesh_trace().1;
+    // Bytes that steer a JSON parser into its other branches.
+    const NOISE: &[u8] = b"{}[]\",:\\-+.0123456789eEtfnul \n\x01~";
+    let mut rng = proptest::TestRng::deterministic("xplacer-json-garbles");
+    for (name, doc) in [
+        ("optimize_lulesh.json.golden", &golden),
+        ("lulesh events", &events),
+    ] {
+        decode_everything(doc, name);
+        for end in (0..doc.len())
+            .step_by(997)
+            .filter(|&i| doc.is_char_boundary(i))
+        {
+            decode_everything(&doc[..end], &format!("{name} cut at byte {end}"));
+        }
+        for _ in 0..200 {
+            let mut bytes = doc.clone().into_bytes();
+            let at = rng.below(bytes.len() as u64) as usize;
+            bytes[at] = NOISE[rng.below(NOISE.len() as u64) as usize];
+            let garbled = String::from_utf8_lossy(&bytes);
+            decode_everything(&garbled, &format!("{name} garbled at byte {at}"));
+        }
+    }
 }

@@ -24,7 +24,7 @@ use proptest::{Strategy, TestRng};
 use xplacer_conformance::generator::ArbProgram;
 use xplacer_conformance::refmodel::{diff_page, RefUmModel};
 use xplacer_conformance::{check_program, conformance_cases, golden, mutate, snapshot};
-use xplacer_lang::parser::parse;
+use xplacer_lang::parser::{parse, MAX_DEPTH};
 use xplacer_lang::unparse::unparse;
 
 fn repo_path(rel: &str) -> PathBuf {
@@ -131,27 +131,49 @@ fn invalid_corpus_errors_are_spanned() {
     }
 }
 
-#[test]
-fn mutated_inputs_never_panic() {
-    // Mutate both the committed mini programs and generated programs.
+const HOSTILE_PER_SEED: usize = 3;
+
+/// Mutants of the committed mini programs and of generated programs:
+/// `stream` seeds the random stacked mutations, and every seed program
+/// also gets [`HOSTILE_PER_SEED`] depth bombs or huge tokens.
+fn mutants(stream: &str) -> Vec<String> {
     let mut seeds: Vec<String> = mini_sources().into_iter().map(|(_, s)| s).collect();
     for i in 0..4 {
         let mut rng = TestRng::deterministic(&format!("xplacer-mutation-base-{i}"));
         seeds.push(unparse(&ArbProgram.generate(&mut rng)));
     }
     let rounds = (conformance_cases() / 4).max(16);
-    let mut rng = TestRng::deterministic("xplacer-mutations");
+    let mut rng = TestRng::deterministic(stream);
+    let mut out: Vec<String> = (0..rounds)
+        .map(|round| mutate::mutate_some(&seeds[(round % seeds.len() as u64) as usize], &mut rng))
+        .collect();
+    let mut rng = TestRng::deterministic(&format!("{stream}-hostile"));
+    for seed in &seeds {
+        for _ in 0..HOSTILE_PER_SEED {
+            out.push(mutate::hostile(seed, &mut rng));
+        }
+    }
+    out
+}
+
+/// The error every depth bomb that reaches the parser's limit reports.
+fn depth_error() -> String {
+    format!("nesting deeper than {MAX_DEPTH} levels")
+}
+
+#[test]
+fn mutated_inputs_never_panic() {
     let mut parsed_ok = 0u32;
     let mut errored = 0u32;
-    for round in 0..rounds {
-        let base = &seeds[(round % seeds.len() as u64) as usize];
-        let mutated = mutate::mutate_some(base, &mut rng);
+    let mut too_deep = 0u32;
+    for mutated in mutants("xplacer-mutations") {
         let result = std::panic::catch_unwind(|| parse(&mutated));
         match result {
             Err(_) => panic!("parse panicked on mutated input:\n---- input ----\n{mutated}"),
             Ok(Err(e)) => {
                 errored += 1;
                 let msg = e.to_string();
+                too_deep += msg.contains(&depth_error()) as u32;
                 assert!(
                     msg.contains("line "),
                     "mutated input error lacks a span: {msg}\n---- input ----\n{mutated}"
@@ -170,8 +192,10 @@ fn mutated_inputs_never_panic() {
             }
         }
     }
-    // The mutator must actually exercise the error paths.
+    // The mutator must actually exercise the error paths, the depth
+    // limit among them.
     assert!(errored > 0, "no mutated input errored ({parsed_ok} parsed)");
+    assert!(too_deep > 0, "no mutated input hit the depth limit");
 }
 
 /// The memory checker consumes the same hostile inputs: mutated programs
@@ -179,17 +203,9 @@ fn mutated_inputs_never_panic() {
 /// `check_source` must never panic.
 #[test]
 fn checker_never_panics_on_mutated_inputs() {
-    let mut seeds: Vec<String> = mini_sources().into_iter().map(|(_, s)| s).collect();
-    for i in 0..4 {
-        let mut rng = TestRng::deterministic(&format!("xplacer-mutation-base-{i}"));
-        seeds.push(unparse(&ArbProgram.generate(&mut rng)));
-    }
-    let rounds = (conformance_cases() / 4).max(16);
-    let mut rng = TestRng::deterministic("xplacer-check-mutations");
     let mut rejected = 0u32;
-    for round in 0..rounds {
-        let base = &seeds[(round % seeds.len() as u64) as usize];
-        let mutated = mutate::mutate_some(base, &mut rng);
+    let mut too_deep = 0u32;
+    for mutated in mutants("xplacer-check-mutations") {
         let result = std::panic::catch_unwind(|| {
             xplacer_check::check_source(
                 "mutant.cu",
@@ -201,6 +217,7 @@ fn checker_never_panics_on_mutated_inputs() {
             Err(_) => panic!("checker panicked on mutated input:\n---- input ----\n{mutated}"),
             Ok(Err(e)) => {
                 rejected += 1;
+                too_deep += e.contains(&depth_error()) as u32;
                 assert!(
                     !e.is_empty(),
                     "checker rejected a mutant with an empty message:\n{mutated}"
@@ -210,6 +227,7 @@ fn checker_never_panics_on_mutated_inputs() {
         }
     }
     assert!(rejected > 0, "no mutated input was rejected by the checker");
+    assert!(too_deep > 0, "no mutated input hit the depth limit");
 }
 
 /// Semantically invalid programs that *parse* must surface interpreter

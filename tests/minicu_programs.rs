@@ -128,3 +128,68 @@ fn unnecessary_transfer_minicu_example_detects_pattern_three() {
         .for_alloc("dev")
         .any(|f| f.kind() == FindingKind::UnnecessaryTransfer));
 }
+
+/// Programs nested exactly as deep as the parser allows, one per kind of
+/// nesting (see `xplacer_lang::parser::MAX_DEPTH`), with the expected
+/// value of `main`.
+fn programs_at_the_depth_limit() -> Vec<(&'static str, String, i64)> {
+    use xplacer_lang::parser::parse;
+    // Statements nested `n` deep, and the value they leave in `x`.
+    type Nest = fn(usize) -> (String, i64);
+    let kinds: [(&str, Nest); 4] = [
+        ("parentheses", |n| {
+            (format!("x = {}1{};", "(".repeat(n), ")".repeat(n)), 1)
+        }),
+        ("unary minus", |n| {
+            (format!("x = {}1;", "- ".repeat(n)), 1 - 2 * (n % 2) as i64)
+        }),
+        ("sum chain", |n| {
+            (format!("x = 1{};", " + 1".repeat(n)), n as i64 + 1)
+        }),
+        ("blocks", |n| {
+            (format!("{}x = 7;{}", "{ ".repeat(n), " }".repeat(n)), 7)
+        }),
+    ];
+    kinds
+        .iter()
+        .map(|&(kind, nest)| {
+            let program = |n| format!("int main() {{ int x = 0; {} return x; }}", nest(n).0);
+            // The deepest nesting that still parses...
+            let mut n = 0;
+            while parse(&program(n + 1)).is_ok() {
+                n += 1;
+            }
+            // ...is cut off by the depth limit, not by anything else.
+            let err = parse(&program(n + 1)).unwrap_err().to_string();
+            assert!(err.contains("nesting deeper than"), "{kind}: {err}");
+            (kind, program(n), nest(n).1)
+        })
+        .collect()
+}
+
+/// Every verb that walks a MiniCU tree (run, analyze, check, instrument)
+/// handles a program at the depth limit on a 2 MiB thread (the default
+/// test-thread stack) in a debug build, so the limit leaves headroom for
+/// all of them.
+#[test]
+fn programs_at_the_depth_limit_run_through_every_verb() {
+    let worker = std::thread::Builder::new().stack_size(2 << 20);
+    let handle = worker
+        .spawn(|| {
+            for (kind, src, value) in programs_at_the_depth_limit() {
+                let (out, interp) = run_traced(&src);
+                assert_eq!(out.exit, value, "{kind}");
+                let cfg = xplacer_core::AnalysisConfig::default();
+                let _ = xplacer_core::analyze(&interp.tracer.smt, &cfg);
+                let opts = xplacer_check::CheckOptions::default();
+                let checked = xplacer_check::check_source("deep.cu", &src, &opts)
+                    .unwrap_or_else(|e| panic!("{kind}: {e}"));
+                assert!(checked.report.clean(), "{kind}");
+                let prog = xplacer_lang::parser::parse(&src).unwrap();
+                let inst = xplacer_instrument::instrument(&prog);
+                assert!(!xplacer_lang::unparse::unparse(&inst.program).is_empty());
+            }
+        })
+        .unwrap();
+    handle.join().expect("a program at the depth limit ran");
+}
